@@ -27,23 +27,20 @@ branch of Eq. (1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
-from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkToNode, LinkVec
+from repro.axes import AnyArray, LinkBandMat, LinkIds, LinkToNode, LinkVec, NodeVec
 from repro.contracts import ContractChecker
 from repro.control.decisions import ScheduleDecision, SlotObservation
-from repro.core.arraystate import LinkArrayMapping, NodeArrayMapping
+from repro.core.arraystate import LinkArrayMapping
 from repro.core.lyapunov import LyapunovConstants
 from repro.model import NetworkModel
 from repro.phy.capacity import max_link_capacity_bps
 from repro.phy.interference import big_m_coefficient, max_power_array
-from repro.phy.power_control import (
-    minimal_power_assignment,
-    minimal_power_assignment_vec,
-)
+from repro.phy.power_control import minimal_power_assignment_vec
 from repro.exceptions import SolverError
 from repro.solvers.linprog import LinearProgram, Sense
 from repro.solvers.sequential_fix import sequential_fix
@@ -55,7 +52,7 @@ _H_EPS = 1e-12
 
 
 class _SchedulerStatic(NamedTuple):
-    """Frozen per-topology tables for the vectorized S1 weights.
+    """Frozen per-topology tables for the vectorized S1 pipeline.
 
     Attributes:
         link_tx: ``(L,)`` transmitter index per candidate link.
@@ -64,6 +61,7 @@ class _SchedulerStatic(NamedTuple):
             sets ``M_i ∩ M_j``.
         max_power_tx: ``(L,)`` transmitter power cap per link (W).
         recv_power_rx: ``(L,)`` receiver listening power per link (W).
+        radios: ``(N,)`` radio budget per node (constraint 22).
     """
 
     link_tx: LinkToNode
@@ -71,6 +69,7 @@ class _SchedulerStatic(NamedTuple):
     band_member: LinkBandMat
     max_power_tx: LinkVec
     recv_power_rx: LinkVec
+    radios: NodeVec
 
 
 class _RadioBudget:
@@ -81,9 +80,9 @@ class _RadioBudget:
     exclusivity, returning the variables that just became infeasible.
     """
 
-    def __init__(self, keys, radios_of) -> None:
-        self._keys = list(keys)
-        self._radios_of = radios_of
+    def __init__(self, keys: List[LinkBand], radios: NodeVec) -> None:
+        self._keys = keys
+        self._radios = radios
         self._usage: Dict[NodeId, int] = {}
         self._band_used: set = set()
 
@@ -96,7 +95,7 @@ class _RadioBudget:
         exhausted = {
             node
             for node in (tx, rx)
-            if self._usage[node] >= self._radios_of(node)
+            if self._usage[node] >= self._radios[node]
         }
         blocked: List[LinkBand] = []
         for other in self._keys:
@@ -128,10 +127,6 @@ class LinkScheduler:
         self._kind = kind
         self._checker = checker
         self._static_cache: Optional[Tuple[Tuple[Link, ...], _SchedulerStatic]] = None
-        self._band_order_cache: Optional[
-            Tuple[Tuple[Link, ...], Tuple[Tuple[int, ...], ...]]
-        ] = None
-        self._access_cache: Optional[np.ndarray] = None
 
     @property
     def kind(self) -> SchedulerKind:
@@ -167,56 +162,20 @@ class LinkScheduler:
             return observation.gains
         return self._model.topology.gains_lookup()
 
-    def _min_tx_power_w(
-        self, tx: NodeId, rx: NodeId, band: int, observation: SlotObservation
-    ) -> float | None:
-        """Zero-interference minimal power for the energy price term."""
-        params = self._model.params
-        noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-        power = (
-            params.sinr_threshold * noise / self._gains(observation)[tx, rx]
-        )
-        if power > self._model.max_power_w[tx]:
-            return None
-        return power
+    def _access_mask(self, access: Mapping[NodeId, Iterable[int]]) -> np.ndarray:
+        """``(N, M)`` bool form of per-node band sets.
 
-    def _access_matrix(self) -> np.ndarray:
-        """``(N, M)`` bool band-access table from the static sets.
-
-        Cold path: built once per run — the access sets are drawn at
-        model construction and never change.
+        One row write per node: built once per run from the static sets,
+        and once per slot from ``observation.band_access`` when dynamic
+        availability is on.
         """
-        cached = self._access_cache
-        if cached is None:
-            spectrum = self._model.spectrum
-            cached = np.zeros(
-                (self._model.num_nodes, spectrum.num_bands), dtype=bool
-            )
-            for node, bands in spectrum.access_sets().items():
-                for band in bands:
-                    cached[node, band] = True
-            self._access_cache = cached
-        return cached
-
-    def _band_orders(
-        self, links: Tuple[Link, ...]
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """Per-link band ids in the scalar loop's frozenset iteration order.
-
-        Only the dict candidate path (SF / matching selectors) needs the
-        insertion order; the array selectors work off the ``(L, M)``
-        membership mask, so this O(L) Python table is built lazily and
-        never touched by the large-scale GREEDY path.
-        """
-        cached = self._band_order_cache
-        if cached is not None and cached[0] is links:
-            return cached[1]
-        spectrum = self._model.spectrum
-        orders = tuple(
-            tuple(spectrum.common_bands(tx, rx)) for tx, rx in links  # noqa: R040 - built once per topology (identity-cached), only for the small-N dict selectors; the array selectors never call this
+        mask = np.zeros(
+            (self._model.num_nodes, self._model.spectrum.num_bands), dtype=bool
         )
-        self._band_order_cache = (links, orders)
-        return orders
+        for node, bands in access.items():
+            for band in bands:
+                mask[node, band] = True
+        return mask
 
     def _scheduler_static(self, links: Tuple[Link, ...]) -> _SchedulerStatic:
         """Per-topology index tables for the vectorized candidate pass.
@@ -241,8 +200,7 @@ class LinkScheduler:
             link_rx = np.fromiter(
                 (rx for _, rx in links), dtype=np.intp, count=count
             )
-        access = self._access_matrix()
-        band_member = access[link_tx] & access[link_rx]
+        access = self._access_mask(self._model.spectrum.access_sets())
         num_nodes = self._model.num_nodes
         max_power = max_power_array(self._model.max_power_w, num_nodes)
         recv_power = np.fromiter(
@@ -253,37 +211,50 @@ class LinkScheduler:
         static = _SchedulerStatic(
             link_tx=link_tx,
             link_rx=link_rx,
-            band_member=band_member,
+            band_member=access[link_tx] & access[link_rx],
             max_power_tx=max_power[link_tx],
             recv_power_rx=recv_power[link_rx],
+            radios=np.fromiter(
+                (node.radio.num_radios for node in self._model.nodes),
+                dtype=np.intp,
+                count=num_nodes,
+            ),
         )
         self._static_cache = (links, static)
         return static
 
+    def _h_array(
+        self, h_backlogs: Mapping[Link, float], links: Tuple[Link, ...]
+    ) -> LinkVec:
+        """``H_ij(t)`` as an ``(L,)`` array over ``links``.
+
+        An array view over the same link index is used as is; any other
+        mapping (the reference state's dict) is read once, in link
+        order, with absent links at zero.
+        """
+        if isinstance(h_backlogs, LinkArrayMapping) and h_backlogs.links is links:
+            return h_backlogs.values_array
+        return np.fromiter(
+            (h_backlogs.get(link, 0.0) for link in links),  # noqa: R040 - reference dict state only; the array state passes its (L,) view above
+            dtype=float,
+            count=len(links),
+        )
+
     def _candidate_grid(
         self,
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_arr: LinkVec,
         energy_prices: Optional[Mapping[NodeId, float]],
         links: Tuple[Link, ...],
         within: Optional[np.ndarray] = None,
-    ) -> Optional[
-        Tuple[
-            np.ndarray,
-            Optional[Sequence[Tuple[int, ...]]],
-            np.ndarray,
-            np.ndarray,
-        ]
-    ]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Net candidate weights as ``(active links, bands)`` arrays.
 
-        Returns ``(active, orders, keep, weight)`` — the active link
-        positions, their per-link band iteration orders (None in the
-        static-band case, where only the dict path needs them and
-        resolves them lazily via :meth:`_band_orders`), the survivor
-        mask, and the weight matrix — or ``None`` when no link clears
-        the backlog floor.  The elementwise float64 chain mirrors the
-        scalar candidate loop's operation order bit for bit.
+        Returns ``(active, keep, weight)`` — the active link positions,
+        the survivor mask, and the weight matrix — or ``None`` when no
+        link clears the backlog floor.  The elementwise float64 chain is
+        ``beta * H * service``, less the priced transmit and listening
+        energy when ``energy_prices`` is given.
 
         ``within`` restricts the scan to a subset of frozen link
         positions (the sharded loop passes each shard's owned links);
@@ -294,7 +265,6 @@ class LinkScheduler:
         params = self._model.params
         dt = params.slot_seconds
         static = self._scheduler_static(links)
-        h_arr = h_backlogs.values_array
         if within is None:
             active = np.flatnonzero(h_arr > _H_EPS)
         else:
@@ -308,22 +278,13 @@ class LinkScheduler:
             dtype=float,
             count=num_bands,
         )
-        orders: Optional[Sequence[Tuple[int, ...]]]
+        tx_idx = static.link_tx[active]
+        rx_idx = static.link_rx[active]
         if observation.band_access is not None:
-            member = np.zeros((active.size, num_bands), dtype=bool)
-            dyn_orders: List[Tuple[int, ...]] = []
-            for i, pos in enumerate(active):
-                tx, rx = links[pos]
-                order = tuple(
-                    observation.band_access[tx] & observation.band_access[rx]
-                )
-                dyn_orders.append(order)
-                for band in order:
-                    member[i, band] = True
-            orders = dyn_orders
+            access = self._access_mask(observation.band_access)
+            member = access[tx_idx] & access[rx_idx]
         else:
             member = static.band_member[active]
-            orders = None
 
         keep = member & (service[None, :] > 0.0)
         weight = (beta * h_arr[active])[:, None] * service[None, :]
@@ -336,8 +297,6 @@ class LinkScheduler:
                 dtype=float,
                 count=num_bands,
             )
-            tx_idx = static.link_tx[active]
-            rx_idx = static.link_rx[active]
             if observation.gains is not None:
                 g_link = np.asarray(observation.gains)[tx_idx, rx_idx]
             else:
@@ -363,69 +322,37 @@ class LinkScheduler:
                 :, None
             ]
         keep &= weight > 0.0
-        return active, orders, keep, weight
-
-    def _candidates_vectorized(
-        self,
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-        energy_prices: Optional[Mapping[NodeId, float]],
-        links: Tuple[Link, ...],
-    ) -> Dict[LinkBand, float]:
-        """Array fast path of :meth:`_candidates` over the link index.
-
-        Computes the net weights via :meth:`_candidate_grid`, then
-        writes only the survivors to the candidate dict in the scalar
-        loop's (link, band) insertion order — so every downstream
-        selector (including the insertion-order-sensitive matching
-        tie-break) sees an identical input.
-        """
-        weights: Dict[LinkBand, float] = {}
-        grid = self._candidate_grid(observation, h_backlogs, energy_prices, links)
-        if grid is None:
-            return weights
-        active, orders, keep, weight = grid
-        static_orders = self._band_orders(links) if orders is None else None
-        for i, pos in enumerate(active):
-            tx, rx = links[pos]
-            keep_row = keep[i]
-            weight_row = weight[i]
-            order = orders[i] if orders is not None else static_orders[pos]
-            for band in order:
-                if keep_row[band]:
-                    weights[(tx, rx, band)] = weight_row[band]
-        return weights
+        return active, keep, weight
 
     def _candidate_positions(
         self,
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_arr: LinkVec,
         energy_prices: Optional[Mapping[NodeId, float]],
         links: Tuple[Link, ...],
         within: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Survivor candidates as ``(link positions, bands, weights)``.
 
-        The greedy selector re-sorts candidates globally, so unlike the
-        dict path no per-candidate insertion order needs preserving —
-        the survivors come straight off the ``keep`` mask with no
-        Python loop.  ``within`` restricts the scan to a subset of link
-        positions (see :meth:`_candidate_grid`).
+        The survivors come straight off the ``keep`` mask with no Python
+        loop, in candidate-link order and then ascending band.
+        ``within`` restricts the scan to a subset of link positions (see
+        :meth:`_candidate_grid`).
         """
         grid = self._candidate_grid(
-            observation, h_backlogs, energy_prices, links, within=within
+            observation, h_arr, energy_prices, links, within=within
         )
         if grid is None:
             empty_pos = np.zeros(0, dtype=np.intp)
             return empty_pos, np.zeros(0, dtype=np.intp), np.zeros(0)
-        active, _, keep, weight = grid
+        active, keep, weight = grid
         rows, bands = np.nonzero(keep)
         return active[rows], bands, weight[rows, bands]
 
     def candidate_slice(
         self,
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_backlogs: Mapping[Link, float],
         energy_prices: Optional[Mapping[NodeId, float]] = None,
         within: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,78 +365,16 @@ class LinkScheduler:
         """
         links = self._model.topology.candidate_links
         return self._candidate_positions(
-            observation, h_backlogs, energy_prices, links, within=within
+            observation,
+            self._h_array(h_backlogs, links),
+            energy_prices,
+            links,
+            within=within,
         )
-
-    def _candidates(
-        self,
-        observation: SlotObservation,
-        h_backlogs: Mapping[Link, float],
-        energy_prices: Optional[Mapping[NodeId, float]] = None,
-    ) -> Dict[LinkBand, float]:
-        """Net weight per candidate link-band (module docstring)."""
-        links = self._model.topology.candidate_links
-        if isinstance(h_backlogs, LinkArrayMapping) and h_backlogs.links is links:
-            return self._candidates_vectorized(
-                observation, h_backlogs, energy_prices, links
-            )
-        if isinstance(energy_prices, np.ndarray):
-            energy_prices = NodeArrayMapping(energy_prices)
-        beta = self._constants.beta
-        dt = self._model.params.slot_seconds
-        weights: Dict[LinkBand, float] = {}
-        # Per-slot service memo: every link-band on the same band
-        # carries the same packet rate, so compute it once per band.
-        service_by_band: Dict[int, float] = {}
-        for tx, rx, backlog in self._active_links(h_backlogs):
-            for band in observation.common_bands(self._model, tx, rx):
-                service = service_by_band.get(band)
-                if service is None:
-                    service = self._service_pkts(band, observation)
-                    service_by_band[band] = service
-                if service <= 0:
-                    continue
-                weight = beta * backlog * service
-                if energy_prices is not None:
-                    power = self._min_tx_power_w(tx, rx, band, observation)
-                    if power is None:
-                        continue  # unreachable even without interference
-                    recv_power = self._model.nodes[rx].radio.recv_power_w
-                    weight -= energy_prices.get(tx, 0.0) * power * dt
-                    weight -= energy_prices.get(rx, 0.0) * recv_power * dt
-                if weight > 0:
-                    weights[(tx, rx, band)] = weight
-        return weights
-
-    def _active_links(
-        self, h_backlogs: Mapping[Link, float]
-    ) -> Iterable[Tuple[NodeId, NodeId, float]]:
-        """Candidate links with ``H_ij`` above the SF pre-step floor.
-
-        When ``h_backlogs`` is an array view over the frozen link index
-        the floor test runs as one vectorized comparison; the surviving
-        links come back in candidate order either way, and elementwise
-        float64 values are bit-identical to the scalar reads.
-        """
-        links = self._model.topology.candidate_links
-        if isinstance(h_backlogs, LinkArrayMapping) and h_backlogs.links is links:
-            h_arr = h_backlogs.values_array
-            for pos in np.flatnonzero(h_arr > _H_EPS):
-                tx, rx = links[pos]
-                yield tx, rx, h_arr[pos]
-            return
-        for tx, rx in links:  # noqa: R040 - reference object path used by the SF/matching schedulers; the GREEDY array path uses _candidate_positions
-            backlog = h_backlogs.get((tx, rx), 0.0)
-            if backlog > _H_EPS:
-                yield tx, rx, backlog
 
     # ------------------------------------------------------------------
     # Activation algorithms
     # ------------------------------------------------------------------
-
-    def _radios(self, node: NodeId) -> int:
-        """Radio budget of ``node`` (1 in the paper's model)."""
-        return self._model.nodes[node].radio.num_radios
 
     def _conflicting(
         self, key: LinkBand, others: Iterable[LinkBand]
@@ -527,18 +392,15 @@ class LinkScheduler:
             if other != key and (other[0] in busy or other[1] in busy)
         ]
 
-    def _make_conflicts(self, keys: List[LinkBand]):
+    def _make_conflicts(self, keys: List[LinkBand], radios: NodeVec):
         """The conflict callback for the SF loop, radio-budget aware."""
-        if all(
-            self._radios(node) == 1
-            for key in keys
-            for node in (key[0], key[1])
-        ):
+        involved = [node for key in keys for node in key[:2]]
+        if np.all(radios[involved] == 1):
             return lambda key: self._conflicting(key, keys)
-        return _RadioBudget(keys, self._radios)
+        return _RadioBudget(keys, radios)
 
     def _radio_constraints(
-        self, lp: LinearProgram, keys: List[LinkBand]
+        self, lp: LinearProgram, keys: List[LinkBand], radios: NodeVec
     ) -> None:
         """Constraints (20)-(22) generalised to radio budgets.
 
@@ -557,11 +419,11 @@ class LinkScheduler:
             lp.add_constraint(
                 {key: 1.0 for key in involved},
                 Sense.LE,
-                float(self._radios(node)),
+                float(radios[node]),
                 name=f"radios[{node}]",
             )
         for (node, band), involved in per_node_band.items():
-            if self._radios(node) > 1 and len(involved) > 1:
+            if radios[node] > 1 and len(involved) > 1:
                 lp.add_constraint(
                     {key: 1.0 for key in involved},
                     Sense.LE,
@@ -570,7 +432,7 @@ class LinkScheduler:
                 )
 
     def _select_sequential_fix(
-        self, weights: Dict[LinkBand, float]
+        self, weights: Dict[LinkBand, float], radios: NodeVec
     ) -> List[LinkBand]:
         keys = sorted(weights)
 
@@ -581,13 +443,13 @@ class LinkScheduler:
                 lp.add_variable(key, objective=-weights[key], lower=0.0, upper=1.0)
             for key, value in fixed.items():
                 lp.fix_variable(key, float(value))
-            self._radio_constraints(lp, keys)
+            self._radio_constraints(lp, keys, radios)
             return lp
 
         fixed = sequential_fix(
             binary_keys=keys,
             build_lp=build_lp,
-            conflicts=self._make_conflicts(keys),
+            conflicts=self._make_conflicts(keys, radios),
         )
         return [key for key, value in fixed.items() if value == 1]
 
@@ -595,6 +457,7 @@ class LinkScheduler:
         self,
         weights: Dict[LinkBand, float],
         observation: SlotObservation,
+        radios: NodeVec,
     ) -> List[LinkBand]:
         """SF with the big-M SINR constraints (24) in the relaxation.
 
@@ -628,7 +491,7 @@ class LinkScheduler:
                 if value == 0:
                     lp.fix_variable(("P", key), 0.0)
 
-            self._radio_constraints(lp, keys)
+            self._radio_constraints(lp, keys, radios)
 
             for band, members in by_band.items():
                 noise = self._model.noise_power_w(
@@ -682,23 +545,24 @@ class LinkScheduler:
         fixed = sequential_fix(
             binary_keys=keys,
             build_lp=build_lp,
-            conflicts=self._make_conflicts(keys),
+            conflicts=self._make_conflicts(keys, radios),
             check_feasibility=True,
         )
         return [key for key, value in fixed.items() if value == 1]
 
-    def _select_matching(self, weights: Dict[LinkBand, float]) -> List[LinkBand]:
+    def _select_matching(
+        self, weights: Dict[LinkBand, float], radios: NodeVec
+    ) -> List[LinkBand]:
         """Exact S1 optimum via maximum-weight matching.
 
         Constraint (22) makes every node a unit-capacity resource, so
         the activation problem is a matching on the undirected node
-        graph; each undirected edge takes its best direction and band.
-        Only exact for single-radio nodes — with budgets the problem is
-        a degree-constrained subgraph, which this solver does not
-        handle.
+        graph; each undirected edge takes its best direction and band,
+        the first-inserted on equal weights.  Only exact for
+        single-radio nodes — with budgets the problem is a
+        degree-constrained subgraph, which this solver does not handle.
         """
-        involved = {node for key in weights for node in (key[0], key[1])}
-        if any(self._radios(node) > 1 for node in involved):
+        if np.any(radios[[node for key in weights for node in key[:2]]] > 1):
             raise SolverError(
                 "MAX_WEIGHT_MATCHING is exact only for single-radio nodes; "
                 "use SEQUENTIAL_FIX or GREEDY with num_radios > 1"
@@ -715,33 +579,6 @@ class LinkScheduler:
         matching = nx.max_weight_matching(graph, maxcardinality=False)
         return [best[(min(u, v), max(u, v))][1] for u, v in matching]
 
-    def _select_greedy(self, weights: Dict[LinkBand, float]) -> List[LinkBand]:
-        usage: Dict[NodeId, int] = {}
-        band_used: set = set()
-        chosen: List[LinkBand] = []
-        # Sort by weight descending, tie-broken by key for determinism.
-        for key in sorted(weights, key=lambda k: (-weights[k], k)):
-            tx, rx, band = key
-            if any(
-                usage.get(node, 0) >= self._radios(node) for node in (tx, rx)
-            ):
-                continue
-            if (tx, band) in band_used or (rx, band) in band_used:
-                continue  # constraints (20)/(21)
-            chosen.append(key)
-            for node in (tx, rx):
-                usage[node] = usage.get(node, 0) + 1
-                band_used.add((node, band))
-        return chosen
-
-    def _radios_list(self) -> List[int]:
-        """Per-node radio budgets, cached (cold path: built once)."""
-        cached = getattr(self, "_radios_cache", None)
-        if cached is None:
-            cached = [node.radio.num_radios for node in self._model.nodes]
-            self._radios_cache = cached
-        return cached
-
     def _select_greedy_arrays(
         self,
         link_pos: LinkIds,
@@ -749,12 +586,11 @@ class LinkScheduler:
         weights: AnyArray,
         links: Tuple[Link, ...],
     ) -> Tuple[List[int], List[int]]:
-        """Array fast path of :meth:`_select_greedy`.
+        """GREEDY: take link-bands by descending weight while they fit.
 
-        ``np.lexsort`` over ``(-weight, tx, rx, band)`` reproduces the
-        scalar ``sorted(weights, key=lambda k: (-weights[k], k))``
-        order exactly (keys are unique, so ties resolve on the integer
-        key columns); the conflict scan then replays the same
+        ``np.lexsort`` over ``(-weight, tx, rx, band)`` orders the
+        candidates by weight with ties broken on the ``(tx, rx, band)``
+        key (keys are unique); the conflict scan then does the
         usage/band-exclusivity bookkeeping over plain Python ints.
 
         Returns the chosen candidates as parallel ``(link position,
@@ -769,7 +605,7 @@ class LinkScheduler:
         band_l = bands[order].tolist()
         pos_l = link_pos[order].tolist()
 
-        radios = self._radios_list()
+        radios = static.radios.tolist()
         usage = [0] * self._model.num_nodes
         band_used: set = set()
         chosen_pos: List[int] = []
@@ -790,6 +626,50 @@ class LinkScheduler:
             band_used.add((rx, band))
         return chosen_pos, chosen_band
 
+    def _select(
+        self,
+        link_pos: LinkIds,
+        bands: AnyArray,
+        weights: AnyArray,
+        observation: SlotObservation,
+        links: Tuple[Link, ...],
+    ) -> Tuple[List[int], List[int]]:
+        """Run the configured selector over the candidate arrays.
+
+        GREEDY works on the arrays directly.  The LP-rounding and
+        matching selectors take a ``{(tx, rx, band): weight}`` dict in
+        candidate-link order, then ascending band (the matching keeps
+        the first-inserted of equal-weight link-bands).  The dict keys
+        are Python ints, because ``sequential_fix`` tie-breaks on
+        ``repr(key)`` and numpy scalars repr differently.
+
+        Returns the chosen ``(link position, band)`` lists in selection
+        order.
+        """
+        if self._kind is SchedulerKind.GREEDY:
+            return self._select_greedy_arrays(link_pos, bands, weights, links)
+        static = self._scheduler_static(links)
+        order = np.lexsort((bands, link_pos))
+        pos_sorted = link_pos[order]
+        keys = list(
+            zip(
+                static.link_tx[pos_sorted].tolist(),
+                static.link_rx[pos_sorted].tolist(),
+                bands[order].tolist(),
+            )
+        )
+        by_key = dict(zip(keys, weights[order].tolist()))
+        if self._kind is SchedulerKind.SEQUENTIAL_FIX:
+            selected = self._select_sequential_fix(by_key, static.radios)
+        elif self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
+            selected = self._select_sequential_fix_sinr(
+                by_key, observation, static.radios
+            )
+        else:
+            selected = self._select_matching(by_key, static.radios)
+        pos_of = dict(zip(keys, pos_sorted.tolist()))
+        return [pos_of[key] for key in selected], [key[2] for key in selected]
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -802,6 +682,10 @@ class LinkScheduler:
         energy_prices: Optional[Mapping[NodeId, float]] = None,
     ) -> ScheduleDecision:
         """Solve S1 for one slot.
+
+        Every ``SchedulerKind`` runs the same pipeline: candidate
+        arrays over the frozen link index, the configured selector, then
+        per-band batched Foschini–Miljanic power control.
 
         Args:
             observation: the slot's realised random state.
@@ -816,59 +700,12 @@ class LinkScheduler:
             per-link realised service in packets.
         """
         links = self._model.topology.candidate_links
-        if (
-            self._kind is SchedulerKind.GREEDY
-            and isinstance(h_backlogs, LinkArrayMapping)
-            and h_backlogs.links is links
-        ):
-            return self._schedule_greedy_arrays(
-                observation, h_backlogs, forbidden_links, energy_prices, links
-            )
-        weights = self._candidates(observation, h_backlogs, energy_prices)
-        if forbidden_links:
-            banned = set(forbidden_links)
-            weights = {
-                key: w for key, w in weights.items() if (key[0], key[1]) not in banned
-            }
-        if not weights:
-            return ScheduleDecision()
-
-        if self._kind is SchedulerKind.SEQUENTIAL_FIX:
-            selected = self._select_sequential_fix(weights)
-        elif self._kind is SchedulerKind.SEQUENTIAL_FIX_SINR:
-            selected = self._select_sequential_fix_sinr(weights, observation)
-        elif self._kind is SchedulerKind.MAX_WEIGHT_MATCHING:
-            selected = self._select_matching(weights)
-        else:
-            selected = self._select_greedy(weights)
-
-        decision = self._power_control(selected, observation, h_backlogs)
-        if self._checker is not None and self._checker.enabled:
-            self._checker.check_schedule(
-                self._model, observation, decision, observation.slot
-            )
-        return decision
-
-    def _schedule_greedy_arrays(
-        self,
-        observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
-        forbidden_links: Optional[Iterable[Link]],
-        energy_prices: Optional[Mapping[NodeId, float]],
-        links: Tuple[Link, ...],
-    ) -> ScheduleDecision:
-        """Matrix S1 for the GREEDY selector over the frozen link index.
-
-        Candidate weights, selection, and per-band Foschini–Miljanic
-        power control all run on ``(L,)``/``(L, M)`` arrays; the
-        decision (activation set, powers, service, drops) is
-        bit-identical to the dict path on the same slot.
-        """
+        h_arr = self._h_array(h_backlogs, links)
         link_pos, bands, weights = self._candidate_positions(
-            observation, h_backlogs, energy_prices, links
+            observation, h_arr, energy_prices, links
         )
-        return self.schedule_from_candidates(
-            link_pos, bands, weights, observation, h_backlogs, forbidden_links, links
+        return self._decide(
+            link_pos, bands, weights, observation, h_arr, forbidden_links, links
         )
 
     def schedule_from_candidates(
@@ -877,20 +714,42 @@ class LinkScheduler:
         bands: AnyArray,
         weights: AnyArray,
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_backlogs: Mapping[Link, float],
         forbidden_links: Optional[Iterable[Link]],
         links: Tuple[Link, ...],
     ) -> ScheduleDecision:
-        """The selection + power-control tail of the GREEDY array path.
+        """The selection + power-control tail of :meth:`schedule`.
 
         Accepts precomputed candidate ``(link position, band, weight)``
-        triples in **any** order: the greedy selector lexsorts them over
-        unique ``(weight, tx, rx, band)`` keys, so any concatenation of
-        per-shard candidate slices produces the same decision as the
-        monolithic scan.  The sharded controller calls this directly as
-        its S1 merge point (interference coordination is global — the
-        per-band power solve couples all co-band links).
+        triples in **any** order: every selector first puts them in a
+        canonical order (GREEDY lexsorts the unique ``(weight, tx, rx,
+        band)`` keys, the others sort by ``(link, band)``), so any
+        concatenation of per-shard candidate slices produces the same
+        decision as the monolithic scan.  The sharded controller calls
+        this directly as its S1 merge point (interference coordination
+        is global — the per-band power solve couples all co-band links).
         """
+        return self._decide(
+            link_pos,
+            bands,
+            weights,
+            observation,
+            self._h_array(h_backlogs, links),
+            forbidden_links,
+            links,
+        )
+
+    def _decide(
+        self,
+        link_pos: AnyArray,
+        bands: AnyArray,
+        weights: AnyArray,
+        observation: SlotObservation,
+        h_arr: LinkVec,
+        forbidden_links: Optional[Iterable[Link]],
+        links: Tuple[Link, ...],
+    ) -> ScheduleDecision:
+        """Forbidden-link filter, selection, power control, contracts."""
         if forbidden_links:
             banned = set(forbidden_links)
             if banned:
@@ -904,11 +763,11 @@ class LinkScheduler:
                 weights = weights[allowed]
         if link_pos.size == 0:
             return ScheduleDecision()
-        chosen_pos, chosen_band = self._select_greedy_arrays(
-            link_pos, bands, weights, links
+        chosen_pos, chosen_band = self._select(
+            link_pos, bands, weights, observation, links
         )
         decision = self._power_control_vectorized(
-            chosen_pos, chosen_band, observation, h_backlogs, links
+            chosen_pos, chosen_band, observation, h_arr, links
         )
         if self._checker is not None and self._checker.enabled:
             self._checker.check_schedule(
@@ -921,18 +780,18 @@ class LinkScheduler:
         chosen_pos: List[int],
         chosen_band: List[int],
         observation: SlotObservation,
-        h_backlogs: LinkArrayMapping,
+        h_arr: LinkVec,
         links: Tuple[Link, ...],
     ) -> ScheduleDecision:
-        """Array fast path of :meth:`_power_control`.
+        """Per-band minimal powers for the chosen link-bands (Eq. 24).
 
-        Per band, one :func:`minimal_power_assignment_vec` call replaces
-        the per-pair gain-matrix Python loops; priorities come straight
-        off the ``H`` array.
+        Per band, in ascending band order, one
+        :func:`minimal_power_assignment_vec` call over the band's links
+        in selection order; priorities come straight off the ``H``
+        array, so the lowest-backlog link is dropped first on ties.
         """
         decision = ScheduleDecision()
         static = self._scheduler_static(links)
-        h_arr = h_backlogs.values_array
         by_band: Dict[int, List[int]] = {}
         for pos, band in zip(chosen_pos, chosen_band):
             by_band.setdefault(band, []).append(pos)
@@ -964,39 +823,5 @@ class LinkScheduler:
                 )
             for j in dropped:
                 link = links[positions[j]]
-                decision.dropped.append((link[0], link[1], band))
-        return decision
-
-    def _power_control(
-        self,
-        selected: List[LinkBand],
-        observation: SlotObservation,
-        h_backlogs: Mapping[Link, float],
-    ) -> ScheduleDecision:
-        """Assign minimal powers per band and drop infeasible links."""
-        decision = ScheduleDecision()
-        by_band: Dict[int, List[Link]] = {}
-        for tx, rx, band in selected:
-            by_band.setdefault(band, []).append((tx, rx))
-
-        for band, links in sorted(by_band.items()):
-            noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-            result = minimal_power_assignment(
-                links=links,
-                gains=self._gains(observation),
-                noise_power_w=noise,
-                sinr_threshold=self._model.params.sinr_threshold,
-                max_power_w=self._model.max_power_w,
-                priority={link: h_backlogs.get(link, 0.0) for link in links},  # noqa: R040 - reference object path; the array path passes the (L,) backlog vector to minimal_power_assignment_vec
-            )
-            service = self._service_pkts(band, observation)
-            for link, power in result.powers.items():  # noqa: R006 - decision-sized LP output, not network-scaled state
-                decision.transmissions.append(
-                    Transmission(tx=link[0], rx=link[1], band=band, power_w=power)
-                )
-                decision.link_service_pkts[link] = (
-                    decision.link_service_pkts.get(link, 0.0) + service
-                )
-            for link in result.dropped:
                 decision.dropped.append((link[0], link[1], band))
         return decision

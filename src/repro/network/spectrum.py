@@ -116,9 +116,10 @@ class MarkovBandAvailability:
 
     def mask(self, access: Dict[NodeId, FrozenSet[BandId]]) -> Dict[NodeId, FrozenSet[BandId]]:
         """Apply the current blocks to static access sets."""
+        users = set(self._users)
         out: Dict[NodeId, FrozenSet[BandId]] = {}
         for node, bands in access.items():
-            if node in set(self._users):
+            if node in users:
                 out[node] = frozenset(
                     b for b in bands if not self.blocked(node, b)
                 )

@@ -3,11 +3,7 @@
 from repro.phy.propagation import gain_matrix, propagation_gain
 from repro.phy.sinr import sinr, total_interference
 from repro.phy.capacity import link_capacity_bps, max_link_capacity_bps
-from repro.phy.power_control import (
-    PowerControlResult,
-    minimal_power_assignment,
-    minimal_power_assignment_vec,
-)
+from repro.phy.power_control import minimal_power_assignment_vec
 from repro.phy.interference import (
     big_m_coefficient,
     interference_range_m,
@@ -23,8 +19,6 @@ __all__ = [
     "total_interference",
     "link_capacity_bps",
     "max_link_capacity_bps",
-    "PowerControlResult",
-    "minimal_power_assignment",
     "minimal_power_assignment_vec",
     "big_m_coefficient",
     "interference_range_m",

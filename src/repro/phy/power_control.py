@@ -17,14 +17,12 @@ dropped in increasing priority order, reproducing Eq. (1)'s
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from repro.axes import LinkToNode, LinkVec
 from repro.phy.propagation import ComputedPairGains, DensePairGains
-from repro.types import Link, NodeId
 from repro.units import Linear, Watts
 
 #: Gain inputs accepted by the solvers: the dense ``(N, N)`` matrix or
@@ -32,51 +30,9 @@ from repro.units import Linear, Watts
 #: and ``submatrix`` blocks are bit-identical either way).
 GainsLike = Union[np.ndarray, DensePairGains, ComputedPairGains]
 
-
-@dataclass
-class PowerControlResult:
-    """Outcome of minimal-power assignment on one band.
-
-    Attributes:
-        powers: transmit power (W) per surviving link.
-        dropped: links removed because no feasible power exists.
-    """
-
-    powers: Dict[Link, Watts] = field(default_factory=dict)
-    dropped: List[Link] = field(default_factory=list)
-
-    @property
-    def scheduled(self) -> Tuple[Link, ...]:
-        """Links that survived with a feasible power."""
-        return tuple(self.powers)
-
-
-def _solve_min_powers(
-    links: Sequence[Link],
-    gains: GainsLike,
-    noise_power_w: Watts,
-    sinr_threshold: Linear,
-) -> np.ndarray:
-    """Exact minimal powers for ``links``; +inf rows mark infeasibility."""
-    n = len(links)
-    direct = np.array([gains[tx, rx] for tx, rx in links])  # noqa: R040 - reference object path; minimal_power_assignment_vec builds direct/cross with fancy indexing
-    cross = np.zeros((n, n))
-    for l, (_, rx_l) in enumerate(links):  # noqa: R040 - reference object path; see minimal_power_assignment_vec
-        for k, (tx_k, _) in enumerate(links):  # noqa: R040 - reference object path; see minimal_power_assignment_vec
-            if k != l:
-                cross[l, k] = gains[tx_k, rx_l]
-    coupling = sinr_threshold * cross / direct[:, None]
-    noise_term = sinr_threshold * noise_power_w / direct
-
-    system = np.eye(n) - coupling
-    try:
-        powers = np.linalg.solve(system, noise_term)
-    except np.linalg.LinAlgError:
-        return np.full(n, np.inf)
-    if np.any(powers <= 0) or not np.all(np.isfinite(powers)):
-        # Spectral radius >= 1: the target SINRs are jointly unachievable.
-        return np.full(n, np.inf)
-    return powers
+#: Relative SINR error above which a solve gets one refinement step;
+#: well below the contract checker's ``SINR_RTOL``.
+_REFINE_RTOL = 1e-9
 
 
 def minimal_power_assignment_vec(
@@ -88,17 +44,16 @@ def minimal_power_assignment_vec(
     caps: LinkVec,
     priorities: LinkVec,
 ) -> Tuple[np.ndarray, LinkVec, List[int]]:
-    """Vectorized :func:`minimal_power_assignment` over index arrays.
+    """Minimal feasible powers for one co-band link set, dropping as needed.
 
     The direct and cross gain matrices are built once with fancy
-    indexing (``cross[l, k] = gains[tx_k, rx_l]``) instead of the
-    per-pair Python loops, and each drop iteration re-solves on an
-    ``np.ix_`` submatrix of the same values — so every
-    ``np.linalg.solve`` sees bit-identical inputs and the surviving
-    powers, drop order, and tie-breaks match the scalar routine
-    exactly (worst offender = first index of the lexicographic maximum
-    of ``(over, -priority)``; joint infeasibility falls back to the
-    first index of minimal priority).
+    indexing (``cross[l, k] = gains[tx_k, rx_l]``), and each drop
+    iteration re-solves on an ``np.ix_`` submatrix of the same values.
+    While some link needs more than its cap, the worst offender is
+    dropped: the first index of the lexicographic maximum of ``(over,
+    -priority)``, where ``over`` is power over cap.  When the set is
+    jointly infeasible (spectral radius >= 1, every ``over`` infinite)
+    the first index of minimal priority goes instead.
 
     Args:
         link_tx / link_rx: ``(n,)`` endpoint indices of the co-band set.
@@ -147,7 +102,18 @@ def minimal_power_assignment_vec(
             powers = infeasible[: sel.size]
         over = powers / caps[sel]
         if np.all(over <= 1.0 + 1e-12):
-            return sel, powers, dropped
+            # Link l's SINR misses Gamma by residual[l] / powers[l].
+            # Pivoting can cancel a tiny power against a large one (a
+            # near-zero-distance link next to a weak one), so the set
+            # about to be accepted gets one step of iterative refinement
+            # when that miss is not negligible, and is then re-checked.
+            residual = noise_term - system @ powers
+            if not np.any(np.abs(residual) > _REFINE_RTOL * powers):
+                return sel, powers, dropped
+            powers = powers + np.linalg.solve(system, residual)
+            over = powers / caps[sel]
+            if np.all((over > 0.0) & (over <= 1.0 + 1e-12)):
+                return sel, powers, dropped
         peak = over.max()
         ties = np.flatnonzero(over == peak)
         if ties.size == 1:
@@ -160,54 +126,3 @@ def minimal_power_assignment_vec(
         sel = np.delete(sel, worst)
     return sel, np.zeros(0), dropped
 
-
-def minimal_power_assignment(
-    links: Sequence[Link],
-    gains: GainsLike,
-    noise_power_w: Watts,
-    sinr_threshold: Linear,
-    max_power_w: Dict[NodeId, Watts],
-    priority: Dict[Link, float] | None = None,
-) -> PowerControlResult:
-    """Assign minimal feasible powers, dropping links as needed.
-
-    Args:
-        links: co-band links to power-control.
-        gains: ``(N, N)`` gain matrix.
-        noise_power_w: thermal-noise power ``eta * W_m(t)`` (W).
-        sinr_threshold: target SINR ``Gamma``.
-        max_power_w: per-transmitter power cap.
-        priority: higher-priority links are kept longer when dropping;
-            defaults to equal priority (then the most over-cap link is
-            dropped first).
-
-    Returns:
-        :class:`PowerControlResult` with exact minimal powers for the
-        surviving set and the list of dropped links.
-    """
-    active = list(links)
-    result = PowerControlResult()
-    priorities = priority or {}
-
-    while active:
-        powers = _solve_min_powers(active, gains, noise_power_w, sinr_threshold)
-        caps = np.array([max_power_w[tx] for tx, _ in active])  # noqa: R042 - reference object path; the vectorized routine hoists its loop buffers
-        over = powers / caps  # > 1 means the cap is violated (inf if infeasible)
-        if np.all(over <= 1.0 + 1e-12):
-            for link, power in zip(active, powers):
-                result.powers[link] = float(power)
-            return result
-        # Drop the worst offender, breaking ties toward lowest priority.
-        worst = max(
-            range(len(active)),
-            key=lambda l: (over[l], -priorities.get(active[l], 0.0)),
-        )
-        if np.isinf(over[worst]):
-            # Joint infeasibility: every row is inf, so use priority alone.
-            worst = min(
-                range(len(active)),
-                key=lambda l: priorities.get(active[l], 0.0),
-            )
-        result.dropped.append(active.pop(worst))
-
-    return result

@@ -62,9 +62,8 @@ class ShardedController(DriftPlusPenaltyController):
         router_mode: RouterMode = RouterMode.POTENTIAL_CAPACITY,
         checker: Optional[ContractChecker] = None,
     ) -> None:
-        # Only the GREEDY selector has the order-independent lexsort
-        # merge the sharded S1 relies on; the sequential-fix and
-        # matching selectors are insertion-order-sensitive.
+        # The sharded S1 merge is pinned bit-identical to the monolithic
+        # loop for the GREEDY selector only (test_sharding_equivalence).
         super().__init__(
             model,
             constants,

@@ -92,8 +92,9 @@ def sequential_fix(
             )
 
         lp = build_lp(dict(fixed))
-        missing = [k for k in sorted(remaining, key=repr) if not lp.has_variable(k)]
-        if missing:
+        if not all(lp.has_variable(k) for k in remaining):
+            # Sorted only to format the message deterministically.
+            missing = [k for k in sorted(remaining, key=repr) if not lp.has_variable(k)]
             raise SolverError(
                 f"LP builder omitted unfixed binary variables: {missing[:5]}"
             )

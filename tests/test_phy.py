@@ -11,7 +11,6 @@ from repro.phy import (
     gain_matrix,
     link_capacity_bps,
     max_link_capacity_bps,
-    minimal_power_assignment,
     minimal_power_assignment_vec,
     propagation_gain,
     sinr,
@@ -21,6 +20,7 @@ from repro.phy import (
 from repro.phy.propagation import MIN_DISTANCE_M
 from repro.phy.sinr import sinr_of_transmission
 from repro.types import Transmission
+from tests.fm_oracle import checked_min_powers
 
 
 class TestPropagation:
@@ -126,6 +126,8 @@ class TestInterferenceHelpers:
 
 
 class TestPowerControl:
+    """The batched assignment, each case checked against the scalar oracle."""
+
     @staticmethod
     def _gains(positions, c=62.5, gamma=4.0):
         pts = np.asarray(positions, dtype=float)
@@ -134,66 +136,102 @@ class TestPowerControl:
 
     def test_single_link_hits_threshold_exactly(self):
         gains = self._gains([[0, 0], [100, 0]])
-        result = minimal_power_assignment(
+        powers, dropped = checked_min_powers(
             [(0, 1)], gains, noise_power_w=1e-10, sinr_threshold=1.0,
             max_power_w={0: 1.0, 1: 1.0},
         )
-        assert not result.dropped
-        power = result.powers[(0, 1)]
-        achieved = gains[0, 1] * power / 1e-10
+        assert not dropped
+        achieved = gains[0, 1] * powers[(0, 1)] / 1e-10
         assert achieved == pytest.approx(1.0, rel=1e-9)
 
     def test_two_distant_links_both_feasible(self):
         gains = self._gains([[0, 0], [100, 0], [5000, 0], [5100, 0]])
-        result = minimal_power_assignment(
+        powers, _ = checked_min_powers(
             [(0, 1), (2, 3)], gains, 1e-10, 1.0,
             {i: 5.0 for i in range(4)},
         )
-        assert set(result.powers) == {(0, 1), (2, 3)}
+        assert set(powers) == {(0, 1), (2, 3)}
         # Both links must meet the SINR including mutual interference.
-        for link in result.powers:
+        for link in powers:
             tx, rx = link
             interference = sum(
-                gains[otx, rx] * result.powers[(otx, orx)]
-                for otx, orx in result.powers
+                gains[otx, rx] * powers[(otx, orx)]
+                for otx, orx in powers
                 if (otx, orx) != link
             )
-            achieved = gains[tx, rx] * result.powers[link] / (1e-10 + interference)
+            achieved = gains[tx, rx] * powers[link] / (1e-10 + interference)
             assert achieved >= 1.0 - 1e-9
 
     def test_conflicting_links_drop_lower_priority(self):
         # Two co-located links cannot both meet Gamma = 1: each
         # receiver hears the other transmitter as loudly as its own.
         gains = self._gains([[0, 0], [10, 0], [0, 10], [10, 10]])
-        result = minimal_power_assignment(
+        powers, dropped = checked_min_powers(
             [(0, 1), (2, 3)], gains, 1e-10, 5.0,
             {i: 1.0 for i in range(4)},
             priority={(0, 1): 10.0, (2, 3): 1.0},
         )
-        assert result.dropped == [(2, 3)]
-        assert (0, 1) in result.powers
+        assert dropped == [(2, 3)]
+        assert (0, 1) in powers
 
     def test_power_cap_respected(self):
         gains = self._gains([[0, 0], [3000, 0]])
-        result = minimal_power_assignment(
+        powers, dropped = checked_min_powers(
             [(0, 1)], gains, 1e-6, 1.0, {0: 0.001, 1: 0.001}
         )
-        assert result.dropped == [(0, 1)]
-        assert not result.powers
+        assert dropped == [(0, 1)]
+        assert not powers
 
     def test_empty_link_set(self):
         gains = self._gains([[0, 0], [10, 0]])
-        result = minimal_power_assignment([], gains, 1e-10, 1.0, {0: 1.0, 1: 1.0})
-        assert not result.powers and not result.dropped
+        powers, dropped = checked_min_powers([], gains, 1e-10, 1.0, {0: 1.0, 1: 1.0})
+        assert not powers and not dropped
+
+    @pytest.mark.parametrize(
+        "priority,order",
+        [
+            ({(0, 1): 2.0, (2, 3): 1.0}, [(2, 3), (0, 1)]),
+            ({(0, 1): 1.0, (2, 3): 2.0}, [(0, 1), (2, 3)]),
+            (None, [(0, 1), (2, 3)]),
+        ],
+    )
+    def test_equal_overshoot_tie_breaks_on_priority(self, priority, order):
+        # Decoupled links with identical direct gains overshoot their
+        # equal caps by exactly the same ratio: the lower priority goes
+        # first, and equal priorities fall back to input order.
+        gains = np.zeros((4, 4))
+        gains[0, 1] = gains[2, 3] = 1e-6
+        _, dropped = checked_min_powers(
+            [(0, 1), (2, 3)], gains, 1e-6, 1.0, {0: 0.5, 2: 0.5}, priority
+        )
+        assert dropped == order
+
+    def test_cancelling_solve_still_meets_threshold(self):
+        # Nodes 0 and 1 coincide, so link (0, 1) needs a power twelve
+        # orders below link (2, 3)'s.  Partial pivoting then cancels the
+        # small power against the large one; without the refinement
+        # step its SINR came out 2.4e-5 short of Gamma.
+        gains = self._gains([[1559, 453], [1559, 453], [773, 0], [858, 766]])
+        powers, dropped = checked_min_powers(
+            [(0, 1), (2, 3)], gains, 1e-10, 1.0, {i: 1.0 for i in range(4)}
+        )
+        assert not dropped
+        for (tx, rx), power in powers.items():
+            interference = sum(
+                gains[otx, rx] * p for (otx, orx), p in powers.items() if otx != tx
+            )
+            assert gains[tx, rx] * power / (1e-10 + interference) == pytest.approx(
+                1.0, rel=1e-12
+            )
 
     def test_minimality_against_uniform_scaling(self):
         # Scaling all powers down by any factor breaks at least one SINR.
         gains = self._gains([[0, 0], [200, 0], [900, 0], [1100, 0]])
-        result = minimal_power_assignment(
+        powers, _ = checked_min_powers(
             [(0, 1), (2, 3)], gains, 1e-10, 1.0, {i: 50.0 for i in range(4)}
         )
-        assert set(result.powers) == {(0, 1), (2, 3)}
-        scaled = {k: v * 0.99 for k, v in result.powers.items()}
+        assert set(powers) == {(0, 1), (2, 3)}
+        scaled = {k: v * 0.99 for k, v in powers.items()}
         ok = True
         for (tx, rx), power in scaled.items():
             interference = sum(
@@ -207,7 +245,7 @@ class TestPowerControl:
 
 
 class TestPowerControlVec:
-    """minimal_power_assignment_vec vs the scalar reference, bitwise."""
+    """minimal_power_assignment_vec vs the scalar oracle, bitwise."""
 
     def test_fuzz_matches_scalar(self):
         rng = np.random.default_rng(13)
@@ -225,21 +263,7 @@ class TestPowerControlVec:
             caps_map = {i: float(rng.uniform(0.01, 5.0)) for i in range(num_nodes)}
             priority = {link: float(rng.uniform(0.0, 10.0)) for link in links}
             threshold = float(rng.uniform(0.5, 4.0))
-
-            scalar = minimal_power_assignment(
-                links, gains, 1e-10, threshold, caps_map, priority
-            )
-            link_tx = np.array([tx for tx, _ in links], dtype=np.intp)
-            link_rx = np.array([rx for _, rx in links], dtype=np.intp)
-            caps = np.array([caps_map[tx] for tx, _ in links])
-            priorities = np.array([priority[link] for link in links])
-            kept, powers, dropped = minimal_power_assignment_vec(
-                link_tx, link_rx, gains, 1e-10, threshold, caps, priorities
-            )
-            assert [links[i] for i in dropped] == scalar.dropped
-            assert [links[i] for i in kept] == list(scalar.scheduled)
-            for pos, power in zip(kept, powers):
-                assert float(power) == scalar.powers[links[pos]]
+            checked_min_powers(links, gains, 1e-10, threshold, caps_map, priority)
 
     def test_empty_set(self):
         gains = TestPowerControl._gains([[0, 0], [10, 0]])

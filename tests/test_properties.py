@@ -14,11 +14,11 @@ from repro.control.energy_manager import NodeEnergyInputs, _node_response
 from repro.energy.battery import Battery, BatteryAction
 from repro.energy.cost import PiecewiseLinearCost, QuadraticCost
 from repro.phy.capacity import link_capacity_bps
-from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import propagation_gain
 from repro.queueing.data_queue import DataQueue
 from repro.queueing.virtual_queue import LinkVirtualQueue
 from repro.solvers.bisection import bisect_root, minimize_convex_1d
+from tests.fm_oracle import checked_min_powers
 
 finite = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -178,14 +178,14 @@ class TestPhyProperties:
         gains = gain_matrix(d, 62.5, 4.0)
         n = len(positions)
         pairs = [(i, (i + 1) % n) for i in range(0, n - 1, 2)]
-        result = minimal_power_assignment(
+        powers, _ = checked_min_powers(
             pairs, gains, 1e-10, 1.0, {i: 1.0 for i in range(n)}
         )
-        for (tx, rx), power in result.powers.items():
+        for (tx, rx), power in powers.items():
             assert 0 < power <= 1.0 + 1e-9
             interference = sum(
                 gains[otx, rx] * p
-                for (otx, _), p in result.powers.items()
+                for (otx, _), p in powers.items()
                 if (otx, _) != (tx, rx)
             )
             sinr_val = gains[tx, rx] * power / (1e-10 + interference)

@@ -6,9 +6,9 @@ import pytest
 
 from repro.control.energy_manager import EnergyManager, NodeEnergyInputs
 from repro.energy.cost import QuadraticCost
-from repro.phy.power_control import minimal_power_assignment
 from repro.phy.propagation import gain_matrix
 from repro.solvers import LinearProgram, Sense, sequential_fix
+from tests.fm_oracle import checked_min_powers
 
 
 class TestCheckedSequentialFix:
@@ -59,13 +59,28 @@ class TestPowerControlFallbacks:
         d = np.sqrt(((positions[:, None] - positions[None, :]) ** 2).sum(axis=2))
         gains = gain_matrix(d, 62.5, 4.0)
         links = [(0, 1), (2, 3)]
-        result = minimal_power_assignment(
+        powers, dropped = checked_min_powers(
             links, gains, 1e-10, 5.0,
             {i: 1.0 for i in range(4)},
             priority={(0, 1): 1.0, (2, 3): 10.0},
         )
-        assert result.dropped == [(0, 1)]
-        assert (2, 3) in result.powers
+        assert dropped == [(0, 1)]
+        assert (2, 3) in powers
+
+    def test_joint_infeasibility_equal_priority_drops_first(self):
+        # Every pair is infeasible at Gamma = 5; with equal priorities
+        # the fallback drops in input order until one link is left.
+        positions = np.array(
+            [[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0], [2.5, 2.5], [2.5, 0.0]]
+        )
+        d = np.sqrt(((positions[:, None] - positions[None, :]) ** 2).sum(axis=2))
+        gains = gain_matrix(d, 62.5, 4.0)
+        links = [(0, 1), (2, 3), (4, 5)]
+        powers, dropped = checked_min_powers(
+            links, gains, 1e-10, 5.0, {i: 1.0 for i in range(6)}
+        )
+        assert len(dropped) == 2
+        assert list(powers) == [link for link in links if link not in dropped]
 
 
 class TestEnergyManagerCostOverride:
