@@ -1,11 +1,10 @@
-"""Scale benchmark: slots/sec of the sparse topology path out to U=100k.
+"""Scale benchmark: slots/sec of the closed loop out to U=100k.
 
 Grows the paper's Section-VI scenario at constant spatial density —
-area side ``2000 * sqrt(U / 20)`` metres, one base station per ten
+area side ``2000 * sqrt(U / 20)`` metres, one base station per six
 users on a grid — so per-node neighbourhood size stays fixed and the
 candidate-link count grows linearly in U.  Each scale runs the GREEDY
-closed loop in ``sparse`` topology mode (the dense O(N^2) matrices are
-never materialised) and reports:
+closed loop (no O(N^2) matrix is ever built) and reports:
 
 * ``build_s`` — node/model/topology construction time (the grid-bucket
   link enumeration dominates this at large U);
@@ -13,11 +12,9 @@ never materialised) and reports:
   static-table builds on top of the steady per-slot cost;
 * ``slots_per_sec`` — steady-state rate over the remaining slots.
 
-Before timing, the U=200 scale is run twice — ``dense`` reference vs
-``sparse`` — and every per-slot decision (transmissions, service,
-admission, routing rates, curtailment) plus the final queue/battery
-state is compared exactly; ``paths_match`` in the report records that
-the sparse path walked the bit-identical trajectory.
+The full mode also runs U=10k with random-waypoint users
+(``U10k-mobile``): every slot steps the positions array and reads gains
+through a view over it, so its cost stays at the static scale's.
 
 The full mode finishes with a million-user smoke: topology build plus
 one closed-loop slot at U=1e6 (no rate is derived from a single slot;
@@ -43,7 +40,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 _REPO = Path(__file__).resolve().parent.parent
 try:  # pragma: no cover - path shim for direct invocation
@@ -51,29 +48,32 @@ try:  # pragma: no cover - path shim for direct invocation
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(_REPO / "src"))
 
-import numpy as np
-
 from repro.config import paper_scenario
 from repro.config.parameters import ScenarioParameters
 from repro.network.geometry import grid_placement
 from repro.sim.engine import SlotSimulator
-from repro.types import Point, SchedulerKind
+from repro.types import MobilityKind, Point, SchedulerKind
 
 BASELINE_PATH = _REPO / "benchmarks" / "bench_scale_baseline.json"
 
-#: (name, num_users, num_slots) per mode.  Slot counts shrink with U so
-#: the full curve stays runnable in minutes; the steady rate is computed
-#: over slots 1..n, so even the largest scale averages >= 2 slots.
+STATIC = MobilityKind.STATIC
+MOBILE = MobilityKind.RANDOM_WAYPOINT
+
+#: (name, num_users, num_slots, mobility) per mode.  Slot counts shrink
+#: with U so the full curve stays runnable in minutes; the steady rate
+#: is computed over slots 1..n, so even the largest scale averages >= 2
+#: slots.
 SCALES = {
     "full": [
-        ("U200", 200, 12),
-        ("U1k", 1_000, 8),
-        ("U10k", 10_000, 5),
-        ("U100k", 100_000, 3),
+        ("U200", 200, 12, STATIC),
+        ("U1k", 1_000, 8, STATIC),
+        ("U10k", 10_000, 5, STATIC),
+        ("U10k-mobile", 10_000, 5, MOBILE),
+        ("U100k", 100_000, 3, STATIC),
     ],
     "smoke": [
-        ("U200", 200, 6),
-        ("U10k", 10_000, 2),
+        ("U200", 200, 6, STATIC),
+        ("U10k", 10_000, 2, STATIC),
     ],
 }
 
@@ -95,7 +95,7 @@ GATE_FRACTION = 0.5
 
 
 def scale_scenario(
-    num_users: int, num_slots: int, topology_mode: str = "sparse"
+    num_users: int, num_slots: int, mobility: MobilityKind = STATIC
 ) -> ScenarioParameters:
     """The Section-VI scenario grown at constant spatial density."""
     side = 2000.0 * math.sqrt(num_users / 20.0)
@@ -112,7 +112,7 @@ def scale_scenario(
         # Renewable sampling is O(N) noise on top of the layers this
         # benchmark measures (topology + scheduling + queues).
         renewables_enabled=False,
-        topology_mode=topology_mode,
+        mobility=mobility,
     )
 
 
@@ -120,52 +120,10 @@ def _build(params: ScenarioParameters) -> SlotSimulator:
     return SlotSimulator.integral(params, scheduler_kind=SchedulerKind.GREEDY)
 
 
-def _decision_fingerprint(decision) -> Tuple:
-    """Everything a slot decided, as an exactly comparable tuple."""
-    return (
-        tuple(decision.schedule.transmissions),
-        tuple(decision.schedule.link_service_pkts.items()),
-        tuple(decision.schedule.dropped),
-        tuple(decision.admission.sources.items()),
-        tuple(decision.admission.admitted.items()),
-        tuple(decision.routing.rates.items()),
-        tuple(decision.curtailed),
-    )
-
-
-def _run_fingerprints(params: ScenarioParameters) -> Tuple[List, Dict]:
-    sim = _build(params)
-    decisions = [
-        _decision_fingerprint(sim.step(slot))
-        for slot in range(params.num_slots)
-    ]
-    arrays = sim.state.arrays
-    final = {
-        "q": arrays.q.copy(),
-        "g": arrays.g.copy(),
-        "battery": arrays.battery_level.copy(),
-    }
-    return decisions, final
-
-
-def check_equivalence(num_users: int, num_slots: int) -> bool:
-    """Dense vs sparse bit-identity of a full run at ``num_users``."""
-    dense_dec, dense_final = _run_fingerprints(
-        scale_scenario(num_users, num_slots, topology_mode="dense")
-    )
-    sparse_dec, sparse_final = _run_fingerprints(
-        scale_scenario(num_users, num_slots, topology_mode="sparse")
-    )
-    if dense_dec != sparse_dec:
-        return False
-    return all(
-        np.array_equal(dense_final[key], sparse_final[key])
-        for key in dense_final
-    )
-
-
-def bench_scale(name: str, num_users: int, num_slots: int) -> Dict:
-    params = scale_scenario(num_users, num_slots)
+def bench_scale(
+    name: str, num_users: int, num_slots: int, mobility: MobilityKind = STATIC
+) -> Dict:
+    params = scale_scenario(num_users, num_slots, mobility)
 
     t0 = time.perf_counter()
     sim = _build(params)
@@ -263,14 +221,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     mode = "smoke" if args.smoke else "full"
 
-    print("checking dense/sparse bit-identity at U=200 ...", flush=True)
-    paths_match = check_equivalence(200, num_slots=4)
-    print(f"  paths_match={paths_match}", flush=True)
-
     scales: Dict[str, Dict] = {}
-    for name, users, slots in SCALES[mode]:
+    for name, users, slots, mobility in SCALES[mode]:
         print(f"benchmarking {name} (users={users}, slots={slots}) ...", flush=True)
-        scales[name] = bench_scale(name, users, slots)
+        scales[name] = bench_scale(name, users, slots, mobility)
         row = scales[name]
         print(
             f"  links={row['num_links']} build={row['build_s']}s"
@@ -293,8 +247,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "schema": "bench_scale/v1",
         "mode": mode,
         "scheduler": "GREEDY",
-        "topology_mode": "sparse",
-        "paths_match": bool(paths_match),
         "scales": scales,
         "million_user_smoke": million,
     }
@@ -302,9 +254,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.output}")
 
     rc = 0
-    if not paths_match:
-        print("FAIL: dense and sparse paths diverged", file=sys.stderr)
-        rc = 1
     if args.check_baseline:
         if not args.baseline.exists():
             print(f"FAIL: baseline {args.baseline} not found", file=sys.stderr)

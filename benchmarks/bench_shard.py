@@ -47,7 +47,7 @@ sys.path.insert(0, str(_REPO / "benchmarks"))
 
 import numpy as np
 
-from bench_scale import _decision_fingerprint, scale_scenario
+from bench_scale import scale_scenario
 from repro.config.parameters import ScenarioParameters
 from repro.experiments.executor import SweepSpec, run_sweep
 from repro.sharding import ShardedSlotSimulator
@@ -65,6 +65,19 @@ CONFIGS = {
 #: Regression gate: a hardware-normalized rate below this fraction of
 #: the baseline expectation fails the check.
 GATE_FRACTION = 0.5
+
+
+def _decision_fingerprint(decision) -> Tuple:
+    """Everything a slot decided, as an exactly comparable tuple."""
+    return (
+        tuple(decision.schedule.transmissions),
+        tuple(decision.schedule.link_service_pkts.items()),
+        tuple(decision.schedule.dropped),
+        tuple(decision.admission.sources.items()),
+        tuple(decision.admission.admitted.items()),
+        tuple(decision.routing.rates.items()),
+        tuple(decision.curtailed),
+    )
 
 
 def _run_sharded_fingerprints(

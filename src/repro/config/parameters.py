@@ -304,12 +304,11 @@ class ScenarioParameters:
     #: node (plus all BS-user pairs within range) to keep the per-slot
     #: optimization tractable; None means fully connected.
     neighbor_limit: Optional[int] = 6
-    #: Topology builder selection: ``"auto"`` (grid builder, dense
-    #: matrices materialised only at small N), ``"sparse"`` (grid
-    #: builder, never materialise the O(N^2) matrices), or ``"dense"``
-    #: (the all-pairs reference builder).  Every mode produces a
-    #: bit-identical candidate-link set; see ``network/topology.py``.
-    topology_mode: str = "auto"
+    #: Topology builder: ``"sparse"``, the only value accepted — the
+    #: grid builder, which never materialises an O(N^2) matrix (see
+    #: ``network/topology.py``).  Kept only so callers that still pass
+    #: it explicitly keep working.
+    topology_mode: str = "sparse"
 
     # --- architecture switches (baselines) --------------------------------
     renewables_enabled: bool = True

@@ -155,10 +155,9 @@ def validate_parameters(params: ScenarioParameters) -> None:
         errors.append(
             f"neighbor_limit must be >= 1 or None, got {params.neighbor_limit}"
         )
-    if params.topology_mode not in ("auto", "dense", "sparse"):
+    if params.topology_mode != "sparse":
         errors.append(
-            "topology_mode must be 'auto', 'dense' or 'sparse', got "
-            f"{params.topology_mode!r}"
+            f"topology_mode must be 'sparse', got {params.topology_mode!r}"
         )
     low, high = params.user_speed_range_mps
     if not 0 <= low <= high:

@@ -225,11 +225,7 @@ class ContractChecker:
         schedule: "ScheduleDecision",
         slot: Optional[int],
     ) -> None:
-        gains = (
-            observation.gains
-            if observation.gains is not None
-            else model.topology.gains_lookup()
-        )
+        gains = observation.gains
         threshold = model.params.sinr_threshold
         for t in schedule.transmissions:
             cap = model.max_power_w[t.tx]

@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.network.spectrum import BandState
 from repro.types import Link, LinkBand, NodeId, SessionId, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.model import NetworkModel
+    from repro.phy.propagation import ComputedPairGains
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,9 @@ class SlotObservation:
         bands: realised bandwidths ``W_m(t)``.
         renewable_j: harvested energy ``R_i(t)`` per node (J).
         grid_connected: realised ``omega_i(t)`` per node.
-        gains: current propagation-gain matrix when mobility is
-            enabled; None means the static topology gains apply.
+        gains: the slot's pair-gain view — the topology's view while
+            users are static, a view over the slot's positions under
+            mobility.
         band_access: per-node accessible bands this slot when dynamic
             availability is enabled; None means the static ``M_i``
             sets apply.
@@ -43,7 +43,7 @@ class SlotObservation:
     bands: BandState
     renewable_j: Mapping[NodeId, float]
     grid_connected: Mapping[NodeId, bool]
-    gains: Optional[np.ndarray] = None
+    gains: ComputedPairGains
     band_access: Optional[Mapping[NodeId, frozenset]] = None
 
     def common_bands(

@@ -149,19 +149,6 @@ class LinkScheduler:
         )
         return bps * params.slot_seconds / params.sessions.packet_size_bits
 
-    def _gains(self, observation: SlotObservation):
-        """The slot's pair gains (mobility-aware).
-
-        Returns the slot's dense matrix under mobility, else the
-        topology's gain lookup — the materialised matrix view or the
-        position-computed view when the sparse topology skipped the
-        O(N^2) matrices.  Scalar ``[tx, rx]`` indexing and the
-        ``submatrix``/``column`` blocks are bit-identical either way.
-        """
-        if observation.gains is not None:
-            return observation.gains
-        return self._model.topology.gains_lookup()
-
     def _access_mask(self, access: Mapping[NodeId, Iterable[int]]) -> np.ndarray:
         """``(N, M)`` bool form of per-node band sets.
 
@@ -297,13 +284,7 @@ class LinkScheduler:
                 dtype=float,
                 count=num_bands,
             )
-            if observation.gains is not None:
-                g_link = np.asarray(observation.gains)[tx_idx, rx_idx]
-            else:
-                # The frozen per-link gain array is bitwise equal to
-                # ``gains[link_tx, link_rx]`` in every topology mode,
-                # so no (N, N) matrix read is needed.
-                g_link = self._model.topology.link_gain_array()[active]
+            g_link = observation.gains.pairs(tx_idx, rx_idx)
             power = (params.sinr_threshold * noise)[None, :] / g_link[:, None]
             keep &= power <= static.max_power_tx[active][:, None]
             if isinstance(energy_prices, np.ndarray):
@@ -471,11 +452,35 @@ class LinkScheduler:
         which variable to fix — fewer selections die in power control.
         """
         keys = sorted(weights)
-        gains = self._gains(observation)
+        ends = np.array(keys, dtype=np.intp).reshape(-1, 3)  # tx, rx, band
+        gains = observation.gains
         params = self._model.params
-        by_band: Dict[int, List[LinkBand]] = {}
-        for key in keys:
-            by_band.setdefault(key[2], []).append(key)
+        max_power = self._model.max_power_w
+        #: Positions into ``keys`` per band, bands in first-seen order.
+        by_band: Dict[int, List[int]] = {}
+        for row, key in enumerate(keys):
+            by_band.setdefault(key[2], []).append(row)
+        # Per band, one gain block ``[k][l] = g(tx_k, rx_l)`` over its
+        # members and the big-M constants: both depend on the slot
+        # only, not on the variables ``sequential_fix`` has fixed.
+        blocks: Dict[int, List[List[float]]] = {}
+        big_m: Dict[LinkBand, float] = {}
+        noise_of: Dict[int, float] = {}
+        for band, rows in by_band.items():
+            noise_of[band] = self._model.noise_power_w(
+                observation.bands.bandwidth(band)
+            )
+            blocks[band] = gains.submatrix(ends[rows, 0], ends[rows, 1]).tolist()
+            for row in rows:
+                key = keys[row]
+                big_m[key] = big_m_coefficient(
+                    gains,
+                    key[0],
+                    key[1],
+                    noise_of[band],
+                    params.sinr_threshold,
+                    max_power,
+                )
 
         def build_lp(fixed: Mapping[LinkBand, float]) -> LinearProgram:
             lp = LinearProgram()
@@ -483,9 +488,7 @@ class LinkScheduler:
                 lp.add_variable(key, objective=-weights[key], lower=0.0, upper=1.0)
             for key in keys:
                 tx = key[0]
-                lp.add_variable(
-                    ("P", key), lower=0.0, upper=self._model.max_power_w[tx]
-                )
+                lp.add_variable(("P", key), lower=0.0, upper=max_power[tx])
             for key, value in fixed.items():
                 lp.fix_variable(key, float(value))
                 if value == 0:
@@ -493,37 +496,30 @@ class LinkScheduler:
 
             self._radio_constraints(lp, keys, radios)
 
-            for band, members in by_band.items():
-                noise = self._model.noise_power_w(
-                    observation.bands.bandwidth(band)
-                )
-                for key in members:
+            for band, rows in by_band.items():
+                noise = noise_of[band]
+                block = blocks[band]
+                for i, row in enumerate(rows):
+                    key = keys[row]
                     tx, rx, _ = key
                     # Linearise P * a: power flows only when scheduled.
                     lp.add_constraint(
                         {
                             ("P", key): 1.0,
-                            key: -self._model.max_power_w[tx],
+                            key: -max_power[tx],
                         },
                         Sense.LE,
                         0.0,
                         name=f"pow_link[{key}]",
                     )
-                    big_m = big_m_coefficient(
-                        gains,
-                        tx,
-                        rx,
-                        noise,
-                        params.sinr_threshold,
-                        self._model.max_power_w,
-                    )
                     # g_ij P + M (1 - a) - Gamma sum g_kj P_other
                     #   >= Gamma eta W.
                     coeffs: Dict = {
-                        ("P", key): gains[tx, rx],
-                        key: -big_m,
+                        ("P", key): block[i][i],
+                        key: -big_m[key],
                     }
-                    for other in members:
+                    for j, other_row in enumerate(rows):
+                        other = keys[other_row]
                         # Links sharing a node with (tx, rx) are already
                         # excluded by the single-radio conflicts in the
                         # binary solution; pricing their (fractional)
@@ -532,12 +528,12 @@ class LinkScheduler:
                         if other == key or other[0] in (tx, rx):
                             continue
                         coeffs[("P", other)] = (
-                            -params.sinr_threshold * gains[other[0], rx]
+                            -params.sinr_threshold * block[j][i]
                         )
                     lp.add_constraint(
                         coeffs,
                         Sense.GE,
-                        params.sinr_threshold * noise - big_m,
+                        params.sinr_threshold * noise - big_m[key],
                         name=f"sinr[{key}]",
                     )
             return lp
@@ -796,10 +792,7 @@ class LinkScheduler:
         for pos, band in zip(chosen_pos, chosen_band):
             by_band.setdefault(band, []).append(pos)
 
-        # The dense matrix under mobility, else the topology's pair-gain
-        # lookup; minimal_power_assignment_vec accepts both and produces
-        # bit-identical solves.
-        gains = self._gains(observation)
+        gains = observation.gains
         for band, positions in sorted(by_band.items()):
             noise = self._model.noise_power_w(observation.bands.bandwidth(band))
             idx = np.asarray(positions, dtype=np.intp)

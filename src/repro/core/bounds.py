@@ -115,16 +115,13 @@ class RelaxedLpController:
         )
         return bps * params.slot_seconds / params.sessions.packet_size_bits
 
-    def _min_power_w(self, tx: NodeId, rx: NodeId, band: int, observation: SlotObservation) -> float | None:
-        """Zero-interference minimal power; None if above the cap."""
+    def _min_power_w(
+        self, tx: NodeId, gain: float, band: int, observation: SlotObservation
+    ) -> float | None:
+        """Zero-interference minimal power at ``gain``; None above the cap."""
         params = self._model.params
         noise = self._model.noise_power_w(observation.bands.bandwidth(band))
-        gains = (
-            observation.gains
-            if observation.gains is not None
-            else self._model.topology.gains_lookup()
-        )
-        power = params.sinr_threshold * noise / gains[tx, rx]
+        power = params.sinr_threshold * noise / gain
         if power > self._model.max_power_w[tx]:
             return None
         return power
@@ -144,10 +141,12 @@ class RelaxedLpController:
         # Activation variables with their Psi-hat_1 coefficients, plus
         # bookkeeping for the capacity and energy couplings.
         link_bands: Dict[Tuple[NodeId, NodeId], List[Tuple[int, float, float]]] = {}
-        for tx, rx in model.topology.candidate_links:  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
+        # The slot's (L,) candidate-link gains, read once.
+        link_gains = observation.gains.pairs(*model.topology.link_arrays()).tolist()
+        for (tx, rx), gain in zip(model.topology.candidate_links, link_gains):  # noqa: R040 - offline Theorem-5 LP assembly; runs once per scenario, never inside the slot loop
             entries = []
             for band in observation.common_bands(model, tx, rx):
-                power = self._min_power_w(tx, rx, band, observation)
+                power = self._min_power_w(tx, gain, band, observation)
                 if power is None:
                     continue
                 service = self._service_pkts(band, observation)

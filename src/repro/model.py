@@ -31,7 +31,7 @@ class NetworkModel:
     Attributes:
         params: the validated scenario parameters.
         nodes: node population ordered by id.
-        topology: distances, gains, candidate links.
+        topology: candidate links, positions and the pair-gain view.
         spectrum: bands, access sets, bandwidth process.
         sessions: downlink sessions.
         cost: the provider's generation-cost function ``f``.

@@ -4,9 +4,10 @@ The paper's evaluation keeps users static; these models add motion as
 an extension (the system model explicitly targets *mobile* users).
 Mobility is quasi-static with respect to the candidate-link set: the
 pruned links are fixed from the initial placement, but the propagation
-gains are recomputed every slot from the current positions, so link
-quality — and through power control, link feasibility — tracks the
-motion.
+gains follow the current positions every slot — the state hands the
+controller a :class:`~repro.phy.propagation.ComputedPairGains` view over
+the slot's ``(N, 2)`` positions array — so link quality, and through
+power control link feasibility, tracks the motion.
 
 ``RandomWaypointMobility`` is the classical model: each user picks a
 uniform waypoint in the area and a uniform speed, walks there in
@@ -16,21 +17,25 @@ straight-line per-slot steps, then repeats.
 from __future__ import annotations
 
 import abc
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import approx_zero
-from repro.types import NodeId, Point
+from repro.constants import FEASIBILITY_EPS
+from repro.types import NodeId
+
+
+def _frozen(positions: np.ndarray) -> np.ndarray:
+    positions.setflags(write=False)
+    return positions
 
 
 class MobilityModel(abc.ABC):
     """Interface: per-slot positions of every node."""
 
     @abc.abstractmethod
-    def positions_at(self, slot: int) -> List[Point]:
-        """Positions of all nodes at the start of ``slot``.
+    def positions_at(self, slot: int) -> np.ndarray:
+        """``(N, 2)`` positions of all nodes at the start of ``slot``.
 
         Must be callable with non-decreasing slots; calling twice with
         the same slot returns identical positions.
@@ -40,19 +45,27 @@ class MobilityModel(abc.ABC):
 class StaticMobility(MobilityModel):
     """No motion: the initial placement forever (the paper's setup)."""
 
-    def __init__(self, positions: Sequence[Point]) -> None:
-        self._positions = list(positions)
+    def __init__(self, positions: np.ndarray) -> None:
+        self._positions = np.array(positions, dtype=float)
 
-    def positions_at(self, slot: int) -> List[Point]:
+    def positions_at(self, slot: int) -> np.ndarray:
         del slot
-        return list(self._positions)
+        return self._positions.copy()
 
 
 class RandomWaypointMobility(MobilityModel):
     """Random-waypoint motion for users; base stations stay fixed.
 
+    All mobile nodes step at once over arrays.  Each step writes a new
+    read-only ``(N, 2)`` array, so a gain view built over one slot's
+    positions never changes afterwards.  The draws match per-node
+    stepping exactly: legs are drawn as ``(x, y, speed)`` rows for the
+    arriving nodes in ``mobile`` order, and the distance to the waypoint
+    is ``(dx*dx + dy*dy) ** 0.5`` (``np.float_power``, not ``np.sqrt``,
+    which rounds differently on a small share of values).
+
     Args:
-        initial: starting positions of all nodes.
+        initial: ``(N, 2)`` starting positions of all nodes.
         mobile: ids of the nodes that move (users).
         area_side_m: the square deployment area.
         speed_range_mps: uniform speed draw per leg (m/s).
@@ -62,7 +75,7 @@ class RandomWaypointMobility(MobilityModel):
 
     def __init__(
         self,
-        initial: Sequence[Point],
+        initial: np.ndarray,
         mobile: Sequence[NodeId],
         area_side_m: float,
         speed_range_mps: Tuple[float, float],
@@ -74,42 +87,45 @@ class RandomWaypointMobility(MobilityModel):
             raise ValueError(f"bad speed range {speed_range_mps!r}")
         if area_side_m <= 0:
             raise ValueError(f"area must be positive, got {area_side_m}")
-        self._positions = list(initial)
-        self._mobile = list(mobile)
+        self._positions = _frozen(np.array(initial, dtype=float))
+        self._mobile = np.asarray(list(mobile), dtype=np.intp)
         self._area = area_side_m
         self._speeds = speed_range_mps
         self._slot_seconds = slot_seconds
         self._rng = rng
         self._last_slot = -1
-        #: Per-mobile-node (waypoint, speed) legs.
-        self._legs: Dict[NodeId, Tuple[Point, float]] = {}
-        for node in self._mobile:
-            self._legs[node] = self._new_leg()
+        #: Per-mobile-node ``(x, y, speed)`` legs, in ``mobile`` order.
+        self._legs = self._new_legs(self._mobile.shape[0])
 
-    def _new_leg(self) -> Tuple[Point, float]:
-        waypoint = Point(
-            float(self._rng.uniform(0.0, self._area)),
-            float(self._rng.uniform(0.0, self._area)),
-        )
-        speed = float(self._rng.uniform(*self._speeds))
-        return waypoint, speed
-
-    def _step_node(self, node: NodeId) -> None:
-        waypoint, speed = self._legs[node]
-        position = self._positions[node]
-        step = speed * self._slot_seconds
-        distance = position.distance_to(waypoint)
-        if distance <= step or approx_zero(distance):
-            self._positions[node] = waypoint
-            self._legs[node] = self._new_leg()
-            return
-        fraction = step / distance
-        self._positions[node] = Point(
-            position.x + fraction * (waypoint.x - position.x),
-            position.y + fraction * (waypoint.y - position.y),
+    def _new_legs(self, count: int) -> np.ndarray:
+        low, high = self._speeds
+        return self._rng.uniform(
+            [0.0, 0.0, low], [self._area, self._area, high], size=(count, 3)
         )
 
-    def positions_at(self, slot: int) -> List[Point]:
+    def _step(self) -> None:
+        current = self._positions[self._mobile]
+        waypoint = self._legs[:, :2]
+        step = self._legs[:, 2] * self._slot_seconds
+        delta = current - waypoint
+        distance = np.float_power(
+            delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1], 0.5
+        )
+        arrived = (distance <= step) | (np.abs(distance) <= FEASIBILITY_EPS)
+        moving = ~arrived
+        fraction = step[moving] / distance[moving]
+        moved = current.copy()
+        moved[moving] = current[moving] + fraction[:, None] * (
+            waypoint[moving] - current[moving]
+        )
+        moved[arrived] = waypoint[arrived]
+        positions = self._positions.copy()
+        positions[self._mobile] = moved
+        self._positions = _frozen(positions)
+        if arrived.any():
+            self._legs[arrived] = self._new_legs(int(arrived.sum()))
+
+    def positions_at(self, slot: int) -> np.ndarray:
         if slot < self._last_slot:
             raise ValueError(
                 f"mobility cannot rewind: asked for slot {slot} after "
@@ -119,43 +135,5 @@ class RandomWaypointMobility(MobilityModel):
             self._last_slot += 1
             if self._last_slot == 0:
                 continue  # slot 0 uses the initial placement
-            for node in self._mobile:
-                self._step_node(node)
-        return list(self._positions)
-
-
-#: Single-entry memo for :func:`gain_matrix_for_positions`, keyed on
-#: ``(positions, constant, exponent)``.  One entry suffices: the static
-#: model returns the same placement every slot, and random-waypoint
-#: pauses (all mobile nodes parked at their waypoints) repeat the
-#: previous slot's placement — both hit the memo exactly; any motion
-#: changes the key and recomputes.
-_GAIN_MEMO: Dict[
-    Tuple[Tuple[Point, ...], float, float], np.ndarray
-] = {}
-
-
-def gain_matrix_for_positions(
-    positions: Sequence[Point], constant: float, exponent: float
-) -> np.ndarray:
-    """The propagation-gain matrix for an arbitrary placement.
-
-    Consecutive identical placements are served from a single-entry
-    memo, so static scenarios pay the quadratic all-pairs cost once per
-    run instead of once per slot.  Callers must not mutate the returned
-    array.
-    """
-    from repro.phy.propagation import gain_matrix
-
-    key = (tuple(positions), constant, exponent)
-    cached = _GAIN_MEMO.get(key)
-    if cached is not None:
-        return cached
-    coords = np.array([[p.x, p.y] for p in positions])
-    diffs = coords[:, None, :] - coords[None, :, :]  # noqa: R041 - all-pairs gains computed once per distinct placement (memoized above); the mobility extension runs at small N and the scale path (static users) hits the memo after slot 0
-    distances = np.sqrt((diffs**2).sum(axis=2))
-    gains = gain_matrix(distances, constant, exponent)
-    gains.setflags(write=False)
-    _GAIN_MEMO.clear()  # noqa: R050 - pure single-entry cache: a worker's fork copy recomputes the bit-identical matrix, so divergence cannot perturb results
-    _GAIN_MEMO[key] = gains  # noqa: R050 - same pure-cache argument as the clear above
-    return gains
+            self._step()
+        return self._positions

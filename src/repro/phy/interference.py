@@ -28,15 +28,9 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 from repro.network.geometry import UniformGridIndex
-from repro.phy.propagation import (
-    MIN_DISTANCE_M,
-    ComputedPairGains,
-    DensePairGains,
-)
+from repro.phy.propagation import MIN_DISTANCE_M, ComputedPairGains
 from repro.types import NodeId
 from repro.units import Linear, Meters, Watts
-
-GainsLike = Union[np.ndarray, DensePairGains, ComputedPairGains]
 
 
 def _seq_sum(values: np.ndarray) -> float:
@@ -84,7 +78,7 @@ def max_power_array(
 
 
 def big_m_coefficient(
-    gains: GainsLike,
+    gains: ComputedPairGains,
     tx: NodeId,
     rx: NodeId,
     noise_power_w: Watts,
@@ -98,13 +92,9 @@ def big_m_coefficient(
     (``a_ij^m = 0``) imposes no restriction.  The interference sum runs
     as one vectorized pass over the gain column; :func:`seq_sum` keeps
     the accumulation order of the historical per-node loop, so the
-    constant is bit-identical.  ``gains`` may be the dense matrix or a
-    pair-gain view (whose ``column`` returns the identical floats).
+    constant is bit-identical.
     """
-    if isinstance(gains, np.ndarray):
-        column = np.asarray(gains)[:, rx]
-    else:
-        column = gains.column(rx)
+    column = gains.column(rx)
     num_nodes = column.shape[0]
     power = max_power_array(max_power_w, num_nodes)
     contributions = column * power

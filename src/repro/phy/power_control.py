@@ -17,18 +17,13 @@ dropped in increasing priority order, reproducing Eq. (1)'s
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.axes import LinkToNode, LinkVec
-from repro.phy.propagation import ComputedPairGains, DensePairGains
+from repro.phy.propagation import ComputedPairGains
 from repro.units import Linear, Watts
-
-#: Gain inputs accepted by the solvers: the dense ``(N, N)`` matrix or
-#: a pair-gain view over node positions (scalar ``g[tx, rx]`` indexing
-#: and ``submatrix`` blocks are bit-identical either way).
-GainsLike = Union[np.ndarray, DensePairGains, ComputedPairGains]
 
 #: Relative SINR error above which a solve gets one refinement step;
 #: well below the contract checker's ``SINR_RTOL``.
@@ -38,7 +33,7 @@ _REFINE_RTOL = 1e-9
 def minimal_power_assignment_vec(
     link_tx: LinkToNode,
     link_rx: LinkToNode,
-    gains: GainsLike,
+    gains: ComputedPairGains,
     noise_power_w: Watts,
     sinr_threshold: Linear,
     caps: LinkVec,
@@ -46,8 +41,8 @@ def minimal_power_assignment_vec(
 ) -> Tuple[np.ndarray, LinkVec, List[int]]:
     """Minimal feasible powers for one co-band link set, dropping as needed.
 
-    The direct and cross gain matrices are built once with fancy
-    indexing (``cross[l, k] = gains[tx_k, rx_l]``), and each drop
+    The direct and cross gains come from one ``submatrix`` block
+    (``cross[l, k] = g(tx_k, rx_l)``), and each drop
     iteration re-solves on an ``np.ix_`` submatrix of the same values.
     While some link needs more than its cap, the worst offender is
     dropped: the first index of the lexicographic maximum of ``(over,
@@ -57,12 +52,7 @@ def minimal_power_assignment_vec(
 
     Args:
         link_tx / link_rx: ``(n,)`` endpoint indices of the co-band set.
-        gains: the ``(N, N)`` gain matrix, or a pair-gain view
-            (:class:`~repro.phy.propagation.ComputedPairGains` /
-            :class:`~repro.phy.propagation.DensePairGains`) when the
-            topology skips the dense matrix — the view's ``submatrix``
-            returns the identical float64 values, so both inputs yield
-            bit-identical solves.
+        gains: the slot's pair-gain view.
         caps: ``(n,)`` per-link transmit power caps (W).
         priorities: ``(n,)`` keep-priorities (higher survives longer).
 
@@ -72,13 +62,9 @@ def minimal_power_assignment_vec(
         dropped positions in drop order.
     """
     n = int(link_tx.shape[0])
-    if isinstance(gains, np.ndarray):
-        direct = gains[link_tx, link_rx]
-        cross = gains[link_tx[:, None], link_rx[None, :]].T.copy()
-    else:
-        block = gains.submatrix(link_tx, link_rx)  # [k, l] = g(tx_k, rx_l)
-        direct = block.diagonal().copy()
-        cross = block.T.copy()
+    block = gains.submatrix(link_tx, link_rx)  # [k, l] = g(tx_k, rx_l)
+    direct = block.diagonal().copy()
+    cross = block.T.copy()
     np.fill_diagonal(cross, 0.0)
     # Hoisted out of the drop loop: the coupling ratios and noise terms
     # are row-local, so the surviving submatrix is a pure fancy-index

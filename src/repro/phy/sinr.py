@@ -23,7 +23,8 @@ def total_interference(
     """Aggregate interference power at ``receiver``.
 
     Args:
-        gains: ``(N, N)`` gain matrix.
+        gains: pair gains indexable as ``gains[tx, rx]`` (the slot's
+            :class:`~repro.phy.propagation.ComputedPairGains` view).
         receiver: the receiving node.
         interferers: ``(tx_node, tx_power_w)`` pairs of concurrent
             transmissions on the same band, excluding the intended one.
@@ -47,7 +48,7 @@ def sinr(
     """SINR of one link given noise and aggregate interference.
 
     Args:
-        gains: ``(N, N)`` gain matrix.
+        gains: pair gains indexable as ``gains[tx, rx]``.
         tx: transmitter id.
         rx: receiver id.
         tx_power_w: transmit power (W).

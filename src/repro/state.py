@@ -41,8 +41,8 @@ from repro.network.mobility import (
     MobilityModel,
     RandomWaypointMobility,
     StaticMobility,
-    gain_matrix_for_positions,
 )
+from repro.phy.propagation import ComputedPairGains
 from repro.queueing.backlog import (
     BacklogSnapshot,
     make_snapshot,
@@ -120,7 +120,7 @@ class NetworkState:
 
         # Mobility (extension): spawned only when enabled so static
         # scenarios keep their historical sample paths.
-        initial_positions = [n.position for n in model.nodes]
+        initial_positions = model.topology.positions
         if params.mobility is MobilityKind.RANDOM_WAYPOINT:
             self.mobility: MobilityModel = RandomWaypointMobility(
                 initial=initial_positions,
@@ -235,26 +235,32 @@ class NetworkState:
 
         Call after rebinding ``mobility``, ``grids`` or ``renewables``
         on a live state (e.g. scripted-outage experiments) so a stale
-        gain matrix or sampling plan can never leak across
-        reconfigured runs.  Idempotent and cheap.
+        gain view or sampling plan can never leak across reconfigured
+        runs.  Idempotent and cheap.
         """
         self._gains_cache_slot = -1
-        self._gains_cache = None
+        self._gains_cache: Optional[ComputedPairGains] = None
         self._plan_token: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
         self._renewable_draws: List[Tuple[NodeId, RenewableProcess]] = []
         self._grid_draws: List[Tuple[NodeId, GridConnection]] = []
         self._grid_static = np.zeros(0, dtype=bool)
         self._grid_caps = np.zeros(0)
 
-    def _current_gains(self, slot: int):
-        """Per-slot gain matrix under mobility; None when static."""
+    def _current_gains(self, slot: int) -> ComputedPairGains:
+        """The slot's pair-gain view.
+
+        The topology's view while users are static; under mobility a
+        view over the slot's fresh positions array, so a view held from
+        an earlier slot never changes.
+        """
         if isinstance(self.mobility, StaticMobility):
-            return None
+            return self.model.topology.gains_lookup()
         if slot != self._gains_cache_slot:
             params = self.model.params
-            positions = self.mobility.positions_at(slot)
-            self._gains_cache = gain_matrix_for_positions(
-                positions, params.propagation_constant, params.path_loss_exponent
+            self._gains_cache = ComputedPairGains(
+                self.mobility.positions_at(slot),
+                params.propagation_constant,
+                params.path_loss_exponent,
             )
             self._gains_cache_slot = slot
         return self._gains_cache

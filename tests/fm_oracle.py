@@ -8,7 +8,8 @@ priority alone — until the rest fit.  The set it accepts gets one step
 of iterative refinement when the solve lost accuracy.
 :func:`checked_min_powers` runs
 :func:`repro.phy.minimal_power_assignment_vec` and asserts that it
-matches this oracle bit for bit.
+matches this oracle bit for bit.  Hand-written gain matrices reach the
+batched routine through :class:`MatrixGains`.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,6 +21,29 @@ from repro.types import Link
 
 #: ``(powers per surviving link in input order, dropped links in drop order)``.
 Assignment = Tuple[Dict[Link, float], List[Link]]
+
+
+class MatrixGains:
+    """Test double: the pair-gain interface over a hand-written matrix.
+
+    Lets cases that need gains no placement produces (exact ties,
+    zero cross gains) drive the routines that take a pair-gain view.
+    """
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self._matrix = np.asarray(matrix, dtype=float)
+
+    def __getitem__(self, key) -> float:
+        return float(self._matrix[key])
+
+    def pairs(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+        return self._matrix[tx, rx]
+
+    def submatrix(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+        return self._matrix[np.asarray(tx)[:, None], np.asarray(rx)[None, :]]
+
+    def column(self, rx: int) -> np.ndarray:
+        return self._matrix[:, rx]
 
 
 def _system(links, gains, noise_power_w, sinr_threshold):
@@ -95,7 +119,7 @@ def vec_min_powers(
     kept, powers, dropped = minimal_power_assignment_vec(
         np.array([tx for tx, _ in links], dtype=np.intp),
         np.array([rx for _, rx in links], dtype=np.intp),
-        gains,
+        MatrixGains(gains) if isinstance(gains, np.ndarray) else gains,
         noise_power_w,
         sinr_threshold,
         np.array([max_power_w[tx] for tx, _ in links], dtype=float),

@@ -80,13 +80,14 @@ class TestMinPowerUnderapproximatesDemand:
         model, _, state, controller = relaxed_setup
         observation = state.observe(3)
         params = model.params
+        gains = model.topology.gains_lookup()
         for tx, rx in model.topology.candidate_links[:10]:
             for band in model.spectrum.common_bands(tx, rx):
-                power = controller._min_power_w(tx, rx, band, observation)
+                power = controller._min_power_w(tx, gains[tx, rx], band, observation)
                 if power is None:
                     continue
                 noise = model.noise_power_w(observation.bands.bandwidth(band))
-                sinr = model.topology.gains[tx, rx] * power / noise
+                sinr = gains[tx, rx] * power / noise
                 # Exactly at threshold with zero interference: any
                 # added interference forces a larger power.
                 assert sinr == pytest.approx(params.sinr_threshold, rel=1e-9)

@@ -164,6 +164,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="neighbor_limit"):
             validate_parameters(params)
 
+    @pytest.mark.parametrize("mode", ["auto", "dense"])
+    def test_only_sparse_topology_mode_accepted(self, mode):
+        validate_parameters(paper_scenario(topology_mode="sparse"))
+        params = dataclasses.replace(paper_scenario(), topology_mode=mode)
+        with pytest.raises(ConfigurationError, match="topology_mode"):
+            validate_parameters(params)
+
     def test_bad_bandwidth_range_rejected(self):
         spectrum = dataclasses.replace(
             paper_scenario().spectrum, random_bandwidth_range_hz=(2e6, 1e6)

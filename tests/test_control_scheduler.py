@@ -69,17 +69,18 @@ class TestSingleRadioConstraint:
         scheduler = LinkScheduler(tiny_model, tiny_constants, kind=kind)
         decision = scheduler.schedule(observation, _h_for(tiny_model, 50.0))
         params = tiny_model.params
+        gains = tiny_model.topology.gains_lookup()
         for target in decision.transmissions:
             noise = tiny_model.noise_power_w(
                 observation.bands.bandwidth(target.band)
             )
             interference = sum(
-                tiny_model.topology.gains[other.tx, target.rx] * other.power_w
+                gains[other.tx, target.rx] * other.power_w
                 for other in decision.transmissions
                 if other.band == target.band and other.link != target.link
             )
             achieved = (
-                tiny_model.topology.gains[target.tx, target.rx]
+                gains[target.tx, target.rx]
                 * target.power_w
                 / (noise + interference)
             )

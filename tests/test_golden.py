@@ -68,30 +68,3 @@ class TestGoldenRelaxed:
         assert result.average_penalty == pytest.approx(
             GOLDEN_RELAXED_PENALTY, rel=1e-6
         )
-
-
-class TestGoldenTopologyModes:
-    """The same pins must hold under every topology builder.
-
-    The default mode is ``auto`` (grid builder + materialised matrices),
-    so the fixtures above already exercise the grid path; these runs pin
-    the pure-sparse path (no dense matrices at all) and the dense
-    reference byte-for-byte against the identical constants — the
-    default-on safety net for the sub-quadratic topology layer.
-    """
-
-    @pytest.mark.parametrize("mode", ["sparse", "dense"])
-    def test_tiny_goldens_exact(self, mode, tiny_run):
-        result = SlotSimulator.integral(
-            tiny_scenario(num_slots=12, topology_mode=mode)
-        ).run()
-        # Exact equality against the default-mode run, not approx: the
-        # builders promise bit-identity, and the pinned constants hold
-        # transitively.
-        assert result.average_cost == tiny_run.average_cost
-        assert result.average_penalty == tiny_run.average_penalty
-        assert (
-            result.metrics.totals()["delivered_pkts"]
-            == tiny_run.metrics.totals()["delivered_pkts"]
-        )
-        assert result.average_cost == pytest.approx(GOLDEN_TINY_COST, rel=1e-9)

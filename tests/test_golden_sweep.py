@@ -105,21 +105,6 @@ class TestFig2fGolden:
         )
 
 
-class TestSweepTopologyModes:
-    def test_fig2a_pins_hold_in_sparse_mode(self):
-        # The sweep-backed figure pipeline must reproduce the same
-        # pinned table when the topology never materialises the dense
-        # matrices — the sparse path is default-on safe end to end.
-        sparse = run_fig2a(
-            tiny_scenario(num_slots=10, topology_mode="sparse"),
-            tuple(sorted(GOLDEN_FIG2A)),
-        )
-        for report in sparse.reports:
-            upper, emp_lower, _ = GOLDEN_FIG2A[report.control_v]
-            assert report.upper == pytest.approx(upper, rel=1e-9)
-            assert report.relaxed_penalty == pytest.approx(emp_lower, rel=1e-6)
-
-
 @pytest.mark.slow
 class TestNightlyScale:
     """Fuller-horizon checks of the same claims (``pytest -m slow``)."""

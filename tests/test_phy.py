@@ -20,7 +20,7 @@ from repro.phy import (
 from repro.phy.propagation import MIN_DISTANCE_M
 from repro.phy.sinr import sinr_of_transmission
 from repro.types import Transmission
-from tests.fm_oracle import checked_min_powers
+from tests.fm_oracle import MatrixGains, checked_min_powers
 
 
 class TestPropagation:
@@ -120,7 +120,7 @@ class TestInterferenceHelpers:
         gains = np.full((3, 3), 1e-6)
         np.fill_diagonal(gains, 0.0)
         caps = {0: 1.0, 1: 2.0, 2: 4.0}
-        m = big_m_coefficient(gains, 0, 1, 1e-9, 1.0, caps)
+        m = big_m_coefficient(MatrixGains(gains), 0, 1, 1e-9, 1.0, caps)
         # Only node 2 interferes with link (0, 1).
         assert m == pytest.approx(1.0 * (1e-9 + 1e-6 * 4.0))
 
@@ -269,6 +269,6 @@ class TestPowerControlVec:
         gains = TestPowerControl._gains([[0, 0], [10, 0]])
         kept, powers, dropped = minimal_power_assignment_vec(
             np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
-            gains, 1e-10, 1.0, np.zeros(0), np.zeros(0),
+            MatrixGains(gains), 1e-10, 1.0, np.zeros(0), np.zeros(0),
         )
         assert kept.size == 0 and powers.size == 0 and dropped == []
